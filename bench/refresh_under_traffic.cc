@@ -13,7 +13,7 @@
 #include "bench/bench_common.h"
 #include "sim/event_sim.h"
 #include "workload/trip_generator.h"
-#include "xar/xar_system.h"
+#include "xar/concurrent_xar.h"
 
 namespace xar {
 namespace bench {
@@ -64,10 +64,11 @@ int main() {
               "cancels", "noshows");
   std::vector<CadencePoint> points;
   for (double period : periods) {
-    XarSystem xar(world.graph, *world.spatial, *world.region, *world.oracle);
+    ConcurrentXarSystem xar(world.graph, *world.spatial, *world.region,
+                            *world.oracle, {}, /*num_shards=*/1);
     ScenarioConfig config = base;
     config.refresh_period_s = period;
-    EventSim sim(world.graph, xar.options(), config);
+    EventSim sim(world.graph, XarOptions{}, config);
     CadencePoint point;
     point.refresh_period_s = period;
     point.result = RunEventSim(xar, sim, trips);

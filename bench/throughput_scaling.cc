@@ -170,8 +170,8 @@ int Run() {
 
     // --- Batch-priced search-and-book: every operation is a SearchAndBook
     // whose candidate wave is priced in ONE oracle many-to-many batch
-    // (XarOptions::batch_pricing, the default) — the booking hot path this
-    // PR optimizes, measured end to end.
+    // (ConcurrentXarSystem::PriceWave) — the booking hot path, measured end
+    // to end.
     {
       ConcurrentXarSystem xar(world.graph, *world.spatial, *world.region,
                               *world.oracle, {}, kShards);

@@ -39,7 +39,8 @@ int main() {
   }
   GraphOracle oracle(graph, /*cache_capacity=*/1 << 16,
                      options.routing_backend, options.BackendOptions());
-  XarSystem xar(graph, spatial, region, oracle, options);
+  ConcurrentXarSystem xar(graph, spatial, region, oracle, options,
+                          /*num_shards=*/1);
 
   ScenarioConfig config;
   config.protocol.window_s = 900.0;
@@ -55,7 +56,7 @@ int main() {
               trips.size(), city_options.rows, city_options.cols,
               config.refresh_period_s, oracle.backend_name());
 
-  EventSim sim(graph, xar.options(), config);
+  EventSim sim(graph, options, config);
   EventSimResult result = RunEventSim(xar, sim, trips);
 
   std::printf("requests:          %zu\n", result.requests);

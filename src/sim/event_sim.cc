@@ -8,7 +8,6 @@
 #include "graph/generator.h"
 #include "graph/oracle.h"
 #include "xar/concurrent_xar.h"
-#include "xar/xar_system.h"
 
 namespace xar {
 namespace {
@@ -16,40 +15,6 @@ namespace {
 /// Edge traversals may still be draining after the last request; ticks and
 /// refreshes keep running this long past it so late rides see live traffic.
 constexpr double kDrainWindowS = 3600.0;
-
-class XarSimTarget final : public SimTarget {
- public:
-  explicit XarSimTarget(XarSystem& xar) : xar_(&xar) {}
-
-  std::vector<RideMatch> Search(const RideRequest& request) const override {
-    return xar_->Search(request);
-  }
-  Result<BookingRecord> SearchAndBook(const RideRequest& request) override {
-    return xar_->SearchAndBook(request);
-  }
-  Result<RideId> CreateRide(const RideOffer& offer) override {
-    return xar_->CreateRide(offer);
-  }
-  Status CancelBooking(RideId ride, RequestId request) override {
-    return xar_->CancelBooking(ride, request);
-  }
-  Status ReportNoShow(RideId ride, RequestId request) override {
-    return xar_->ReportNoShow(ride, request);
-  }
-  void AdvanceTime(double now_s) override { xar_->AdvanceTime(now_s); }
-  RefreshStats RefreshDiscretization(const GraphDelta& delta) override {
-    return xar_->RefreshDiscretization(delta);
-  }
-  Result<Ride> GetRide(RideId id) const override {
-    const Ride* ride = xar_->GetRide(id);
-    if (ride == nullptr) return Status::NotFound("unknown ride");
-    return *ride;
-  }
-  std::uint64_t epoch() const override { return xar_->epoch(); }
-
- private:
-  XarSystem* xar_;
-};
 
 class ConcurrentSimTarget final : public SimTarget {
  public:
@@ -82,10 +47,6 @@ class ConcurrentSimTarget final : public SimTarget {
 };
 
 }  // namespace
-
-std::unique_ptr<SimTarget> MakeSimTarget(XarSystem& xar) {
-  return std::make_unique<XarSimTarget>(xar);
-}
 
 std::unique_ptr<SimTarget> MakeSimTarget(ConcurrentXarSystem& xar) {
   return std::make_unique<ConcurrentSimTarget>(xar);
@@ -468,12 +429,6 @@ EventSimResult EventSim::Run(SimTarget& target,
   Mix(result.final_epoch);
   result.fingerprint = fingerprint_;
   return result;
-}
-
-EventSimResult RunEventSim(XarSystem& xar, EventSim& sim,
-                           const std::vector<TaxiTrip>& trips) {
-  std::unique_ptr<SimTarget> target = MakeSimTarget(xar);
-  return sim.Run(*target, trips);
 }
 
 EventSimResult RunEventSim(ConcurrentXarSystem& xar, EventSim& sim,

@@ -18,7 +18,6 @@
 #include <vector>
 
 #include "common/stats_registry.h"
-#include "common/thread_pool.h"
 #include "discretize/region_snapshot.h"
 #include "xar/xar_system.h"
 
@@ -32,7 +31,7 @@ struct RetryStats {
   std::size_t booked_after_research = 0; ///< booked in a re-search round
   std::size_t stale_rejections = 0;      ///< candidates rejected by Book
   std::size_t unmatched = 0;             ///< SearchAndBook returned NotFound
-  // Batch pricing on the SearchAndBook path (XarOptions::batch_pricing):
+  // Wave pricing on the SearchAndBook path (PriceWave):
   std::size_t priced_waves = 0;       ///< waves priced (one oracle batch each)
   std::size_t priced_candidates = 0;  ///< matches offered to pricing
   std::size_t priced_dropped = 0;     ///< matches dropped: unreachable leg
@@ -79,6 +78,11 @@ inline StatsSection RetryStatsSection(const RetryStats& stats) {
 ///    taken, budget spent, cluster support gone) is detected by Book itself;
 ///    on failure the next candidate is tried, then one full re-search round.
 ///
+/// With num_shards == 1 this is the serial deployment: every lock is
+/// uncontended, ride ids are the dense 0,1,2,... of a lone XarSystem, and
+/// SearchAndBook below is the one booking pipeline (search, price the wave,
+/// book in walk order) that every caller runs.
+///
 /// Lock order: at most one shard lock is ever held at a time (multi-shard
 /// walks like AdvanceTime lock shard by shard in ascending index order), so
 /// the design is deadlock-free by construction.
@@ -101,10 +105,8 @@ class ConcurrentXarSystem {
         num_shards_(ResolveShardCount(num_shards)),
         max_results_(options.max_results),
         book_rounds_(options.search_and_book_rounds),
-        batch_pricing_(options.batch_pricing),
         head_(BorrowRegionSnapshot(region)),
-        oracle_(&oracle),
-        pool_(num_shards_) {
+        oracle_(&oracle) {
     shards_.reserve(num_shards_);
     for (std::size_t s = 0; s < num_shards_; ++s) {
       XarOptions shard_options = options;
@@ -146,18 +148,6 @@ class ConcurrentXarSystem {
               });
     if (k > 0 && merged.size() > k) merged.resize(k);
     return merged;
-  }
-
-  /// Fans the searches across the internal thread pool and returns results
-  /// in input order. Results are deterministic: identical to calling
-  /// Search/SearchTopK serially on a quiescent system.
-  std::vector<std::vector<RideMatch>> SearchBatch(
-      const std::vector<RideRequest>& requests, std::size_t k = 0) const {
-    std::vector<std::vector<RideMatch>> results(requests.size());
-    pool_.ParallelFor(requests.size(), [&](std::size_t i) {
-      results[i] = k > 0 ? SearchTopK(requests[i], k) : Search(requests[i]);
-    });
-    return results;
   }
 
   std::size_t NumActiveRides() const {
@@ -386,7 +376,7 @@ class ConcurrentXarSystem {
       // exclusive lock is taken: candidates with an unreachable splice leg
       // (the only ones pricing may drop) never contend for a booking lock,
       // the rest carry their exact insertion detour.
-      if (batch_pricing_) PriceWave(&matches);
+      PriceWave(&matches);
       for (const RideMatch& match : matches) {
         Shard& shard = ShardOf(match.ride);
         std::unique_lock lock(shard.mutex);
@@ -408,15 +398,18 @@ class ConcurrentXarSystem {
     return Status::NotFound("no feasible ride");
   }
 
- private:
-  /// Concurrent counterpart of XarSystem::PriceMatches: collects every
-  /// match's splice legs under the owning shard's SHARED lock (one shard at
-  /// a time — the lock-order invariant holds), then prices all legs of the
-  /// wave in a single oracle many-to-many batch with NO locks held, and
-  /// finally annotates/filters the matches. Matches whose legs could not be
-  /// collected (stale epoch, ride gone) stay unpriced for Book to reject;
-  /// only unreachable-leg matches are dropped, which cannot change a
-  /// booking outcome — Book would fail them with the same result.
+  /// Prices every match of a search wave against the current ride state:
+  /// collects each match's splice legs (XarSystem::CollectPricingLegs) under
+  /// the owning shard's SHARED lock (one shard at a time — the lock-order
+  /// invariant holds), then prices all legs of the wave in a single oracle
+  /// many-to-many batch with NO locks held — cache hits come from the
+  /// oracle's distance cache, the misses go down in one backend call (bucket
+  /// CH on the default backend). Annotates RideMatch::priced_detour_m with
+  /// the exact insertion detour (spliced legs minus the replaced route
+  /// spans). Matches whose legs could not be collected (stale epoch, ride
+  /// gone) stay unpriced for Book to reject; only unreachable-leg matches
+  /// are dropped, which cannot change a booking outcome — Book would fail
+  /// them anyway, and budget checks stay against the cluster estimate.
   void PriceWave(std::vector<RideMatch>* matches) {
     if (matches->empty()) return;
     struct MatchLegs {
@@ -481,6 +474,7 @@ class ConcurrentXarSystem {
     priced_dropped_.fetch_add(dropped, std::memory_order_relaxed);
   }
 
+ private:
   struct Shard {
     Shard(const RoadGraph& graph, const SpatialNodeIndex& spatial,
           std::shared_ptr<const RegionSnapshot> snapshot,
@@ -506,7 +500,6 @@ class ConcurrentXarSystem {
   std::size_t num_shards_;
   std::size_t max_results_;
   std::size_t book_rounds_;
-  bool batch_pricing_;
   /// Last fully adopted snapshot; guarded by refresh_mutex_. Shards on an
   /// older epoch keep their snapshot alive independently via shared_ptr.
   std::shared_ptr<const RegionSnapshot> head_;
@@ -527,7 +520,6 @@ class ConcurrentXarSystem {
   std::atomic<std::size_t> priced_candidates_{0};
   std::atomic<std::size_t> priced_dropped_{0};
   std::function<void(const RideRequest&, std::size_t)> post_search_hook_;
-  mutable ThreadPool pool_;
 };
 
 }  // namespace xar

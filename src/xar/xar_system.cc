@@ -447,79 +447,6 @@ bool XarSystem::CollectPricingLegs(const RideMatch& match,
   return true;
 }
 
-std::size_t XarSystem::PriceMatches(std::vector<RideMatch>* matches) {
-  if (matches->empty()) return 0;
-
-  struct MatchLegs {
-    std::vector<std::pair<NodeId, NodeId>> legs;
-    double replaced_m = 0.0;
-    bool ok = false;
-  };
-  std::vector<MatchLegs> per_match(matches->size());
-  std::vector<NodeId> sources;
-  std::vector<NodeId> targets;
-  std::unordered_map<NodeId::underlying_type, std::size_t> src_at;
-  std::unordered_map<NodeId::underlying_type, std::size_t> tgt_at;
-  bool any = false;
-  for (std::size_t m = 0; m < matches->size(); ++m) {
-    MatchLegs& ml = per_match[m];
-    ml.ok = CollectPricingLegs((*matches)[m], &ml.legs, &ml.replaced_m);
-    if (!ml.ok) continue;
-    any = true;
-    for (const auto& [from, to] : ml.legs) {
-      if (src_at.emplace(from.value(), sources.size()).second)
-        sources.push_back(from);
-      if (tgt_at.emplace(to.value(), targets.size()).second)
-        targets.push_back(to);
-    }
-  }
-  if (!any) return 0;
-
-  // ONE oracle batch prices every leg of the wave: cache hits are filled
-  // from the distance cache inside the oracle, the misses go down in a
-  // single many-to-many backend call (bucket CH on the default backend).
-  std::vector<double> dist = oracle_->DriveDistanceMatrix(sources, targets);
-
-  std::size_t dropped = 0;
-  std::vector<RideMatch> kept;
-  kept.reserve(matches->size());
-  for (std::size_t m = 0; m < matches->size(); ++m) {
-    RideMatch match = (*matches)[m];
-    const MatchLegs& ml = per_match[m];
-    if (ml.ok) {
-      double spliced = 0.0;
-      for (const auto& [from, to] : ml.legs) {
-        spliced += dist[src_at.at(from.value()) * targets.size() +
-                        tgt_at.at(to.value())];
-      }
-      if (!std::isfinite(spliced)) {
-        // An unreachable splice leg: Book could only fail on it. The only
-        // matches pricing is allowed to drop — budget checks stay against
-        // the cluster estimate, so booking outcomes are unchanged.
-        ++dropped;
-        continue;
-      }
-      match.priced_detour_m = std::max(0.0, spliced - ml.replaced_m);
-    }
-    kept.push_back(match);
-  }
-  *matches = std::move(kept);
-  pricing_stats_.waves += 1;
-  pricing_stats_.candidates += per_match.size();
-  pricing_stats_.dropped += dropped;
-  return dropped;
-}
-
-Result<BookingRecord> XarSystem::SearchAndBook(const RideRequest& request) {
-  std::vector<RideMatch> matches = Search(request);
-  if (options_.batch_pricing) PriceMatches(&matches);
-  for (const RideMatch& match : matches) {
-    Result<BookingRecord> booked = Book(match.ride, request, match);
-    if (booked.ok()) return booked;
-  }
-  return Status::NotFound("no bookable ride for request");
-}
-
 RideSchedule* XarSystem::EnsureKineticSchedule(Ride& ride) {
   std::unique_ptr<RideSchedule>& slot = schedules_[LocalIndex(ride.id)];
   if (slot != nullptr) return slot.get();

@@ -45,11 +45,12 @@ ScenarioConfig TrafficScenario() {
 
 TEST(EventSimTest, LiveRefreshesMidSimulationWithBookingsAround) {
   TestCity& city = SharedCity();
-  XarSystem xar(city.graph, *city.spatial, *city.region, *city.oracle);
+  ConcurrentXarSystem xar(city.graph, *city.spatial, *city.region,
+                          *city.oracle, {}, /*num_shards=*/1);
   std::vector<TaxiTrip> trips = RushHourTrips(city, 1500);
   ASSERT_GT(trips.size(), 50u);
 
-  EventSim sim(city.graph, xar.options(), TrafficScenario());
+  EventSim sim(city.graph, XarOptions{}, TrafficScenario());
   EventSimResult result = RunEventSim(xar, sim, trips);
 
   EXPECT_EQ(result.requests, trips.size());
@@ -82,8 +83,9 @@ TEST(EventSimTest, FixedSeedIsBitDeterministic) {
 
   EventSimResult runs[2];
   for (int i = 0; i < 2; ++i) {
-    XarSystem xar(city.graph, *city.spatial, *city.region, *city.oracle);
-    EventSim sim(city.graph, xar.options(), TrafficScenario());
+    ConcurrentXarSystem xar(city.graph, *city.spatial, *city.region,
+                            *city.oracle, {}, /*num_shards=*/1);
+    EventSim sim(city.graph, XarOptions{}, TrafficScenario());
     runs[i] = RunEventSim(xar, sim, trips);
   }
 
@@ -103,8 +105,9 @@ TEST(EventSimTest, SerialAndConcurrentSystemsAgreeOnCounts) {
   TestCity& city = SharedCity();
   std::vector<TaxiTrip> trips = RushHourTrips(city, 800);
 
-  XarSystem serial(city.graph, *city.spatial, *city.region, *city.oracle);
-  EventSim serial_sim(city.graph, serial.options(), TrafficScenario());
+  ConcurrentXarSystem serial(city.graph, *city.spatial, *city.region,
+                             *city.oracle, {}, /*num_shards=*/1);
+  EventSim serial_sim(city.graph, XarOptions{}, TrafficScenario());
   EventSimResult serial_result = RunEventSim(serial, serial_sim, trips);
 
   GraphOracle concurrent_oracle(city.graph);
@@ -114,10 +117,10 @@ TEST(EventSimTest, SerialAndConcurrentSystemsAgreeOnCounts) {
   EventSimResult concurrent_result =
       RunEventSim(concurrent, concurrent_sim, trips);
 
-  // Driven single-threaded, the sharded system replays the same protocol:
+  // Driven single-threaded, the 2-shard system replays the same protocol:
   // round-robin creation reproduces the dense id sequence and the merged
-  // shard searches rank identically, so all counts line up with the serial
-  // system even though every operation crossed the shard locks.
+  // shard searches rank identically, so all counts line up with the 1-shard
+  // system even though its rides are split across two shards.
   EXPECT_EQ(serial_result.requests, concurrent_result.requests);
   EXPECT_EQ(serial_result.matched, concurrent_result.matched);
   EXPECT_EQ(serial_result.rides_created, concurrent_result.rides_created);
@@ -244,9 +247,8 @@ TEST_F(NoShowTest, NoShowUnknownBookingFails) {
 }
 
 TEST_F(NoShowTest, SeatFreedByNoShowIsRebookable) {
-  XarOptions seat_options;
-  XarSystem xar(city_.graph, *city_.spatial, *city_.region, *city_.oracle,
-                seat_options);
+  ConcurrentXarSystem xar(city_.graph, *city_.spatial, *city_.region,
+                          *city_.oracle, {}, /*num_shards=*/1);
   // Dedicated system so the default seat pool is fully booked, no-shown,
   // and rebooked by a different rider.
   const BoundingBox& b = city_.graph.bounds();

@@ -1,5 +1,5 @@
 // Refresh-under-load stress: a refresher thread repeatedly rebuilds and
-// swaps the discretization while booker / batch-searcher / creator threads
+// swaps the discretization while booker / searcher / creator threads
 // hammer the sharded system. Afterwards nothing may be lost: every created
 // ride is still retrievable, seat accounting is exact (no double-booked or
 // leaked seat across re-homing), and the epochs the refresher observed are
@@ -103,18 +103,11 @@ TEST(RefreshStressTest, RefreshLoopRacingSearchCreateBook) {
       }
     });
   }
-  // Batch searcher: fans waves of searches across the pool mid-refresh.
+  // Searcher: a stream of plain searches pinning snapshots mid-refresh.
   threads.emplace_back([&] {
-    std::vector<RideRequest> wave;
     for (const TaxiTrip& t : Trips(city, 240, 85)) {
-      wave.push_back(ToRequest(t, 50000));
-      if (wave.size() == 48) {
-        for (const std::vector<RideMatch>& matches : xar.SearchBatch(wave)) {
-          (void)matches;
-          searches.fetch_add(1, std::memory_order_relaxed);
-        }
-        wave.clear();
-      }
+      (void)xar.Search(ToRequest(t, 50000));
+      searches.fetch_add(1, std::memory_order_relaxed);
     }
   });
   // Creator: grows the supply while refreshes re-home it.

@@ -85,7 +85,9 @@ TEST(StatsRegistryTest, ConcurrentRegisterAndSnapshot) {
     }
   });
   for (int i = 0; i < 200; ++i) {
-    registry.Register("s" + std::to_string(i % 8), [i] {
+    std::string name = "s";
+    name += std::to_string(i % 8);
+    registry.Register(name, [i] {
       return CounterSection("s", static_cast<std::uint64_t>(i));
     });
   }

@@ -158,7 +158,7 @@ void EventSim::HandleRequest(SimTarget& target, const Event& event,
                              EventSimResult* result) {
   const TaxiTrip& trip = trips[event.trip_index];
   ++result->requests;
-  if (config_.protocol.advance_time) target.AdvanceTime(trip.pickup_time_s);
+  target.AdvanceTime(trip.pickup_time_s);
 
   RideRequest request;
   request.id = trip.id;
@@ -382,7 +382,7 @@ EventSimResult EventSim::Run(SimTarget& target,
       }
       case EventKind::kTrafficTick: {
         ++result.traffic_ticks;
-        if (config_.protocol.advance_time) target.AdvanceTime(event.time_s);
+        target.AdvanceTime(event.time_s);
         // Decay street loads; drop the tail so the map stays proportional
         // to *recently* busy streets, not every street ever driven.
         for (auto it = street_loads_.begin(); it != street_loads_.end();) {

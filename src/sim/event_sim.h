@@ -47,7 +47,7 @@ class SimTarget {
 std::unique_ptr<SimTarget> MakeSimTarget(ConcurrentXarSystem& xar);
 
 /// Outcome of one event-sim run: protocol counts (matching the replay
-/// drivers' semantics), event counts, refresh bracketing, and the
+/// driver's semantics), event counts, refresh bracketing, and the
 /// staleness/quality signals the refresh_under_traffic bench sweeps.
 struct EventSimResult {
   std::size_t requests = 0;

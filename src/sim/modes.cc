@@ -65,14 +65,13 @@ ModeMetrics EvaluateRideShareMode(XarSystem& xar,
 ModeMetrics EvaluateRideSharePlusTransitMode(
     const TripPlanner& planner, XarSystem& xar,
     const std::vector<TaxiTrip>& trips,
-    const IntegrationOptions& integration_options,
-    const SimOptions& sim_options) {
+    const IntegrationOptions& integration_options) {
   ModeMetrics metrics;
   metrics.mode_name = "RideShare+PT";
   XarMmtpIntegration integration(planner, xar, integration_options);
 
   for (const TaxiTrip& trip : trips) {
-    if (sim_options.advance_time) xar.AdvanceTime(trip.pickup_time_s);
+    xar.AdvanceTime(trip.pickup_time_s);
     Journey plan =
         planner.PlanTrip(trip.pickup, trip.dropoff, trip.pickup_time_s);
 

@@ -38,8 +38,7 @@ ModeMetrics EvaluateRideShareMode(XarSystem& xar,
 ModeMetrics EvaluateRideSharePlusTransitMode(
     const TripPlanner& planner, XarSystem& xar,
     const std::vector<TaxiTrip>& trips,
-    const IntegrationOptions& integration_options = {},
-    const SimOptions& sim_options = {});
+    const IntegrationOptions& integration_options = {});
 
 }  // namespace xar
 

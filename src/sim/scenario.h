@@ -7,7 +7,9 @@
 namespace xar {
 
 /// Knobs of the ride-share simulation loop (paper Section X-A.2). Shared by
-/// every driver: the serial replay, the parallel replay and the event sim.
+/// both drivers: the replay (SimulateRideSharing) and the event sim, which
+/// takes them as ScenarioConfig::protocol. Both advance the system clock to
+/// each request's timestamp.
 struct SimOptions {
   /// Departure window length granted to each request.
   double window_s = 900.0;
@@ -16,8 +18,6 @@ struct SimOptions {
   std::size_t look_to_book = 1;
   /// Walking threshold passed on each request (-1 = XAR default).
   double walk_limit_m = -1.0;
-  /// Advance the virtual clock with request timestamps (tracking on).
-  bool advance_time = true;
 };
 
 /// How traffic responds to the simulated fleet (event sim only): per-edge
@@ -48,13 +48,10 @@ struct EventMix {
   double no_show_probability = 0.0;
 };
 
-/// One scenario description shared by all three simulation drivers
-/// (SimulateRideSharing, SimulateRideSharingParallel, RunEventSim). The
-/// replay drivers consume `protocol` and ignore the rest; the event sim
-/// consumes everything. Keeping one config type means a bench can run the
-/// same scenario through any driver without re-plumbing knobs.
+/// The event sim's scenario (RunEventSim): the replay protocol knobs plus
+/// traffic, rider events, refresh cadence, seed and fleet.
 struct ScenarioConfig {
-  /// Protocol knobs shared with the replay drivers.
+  /// Protocol knobs shared with the replay driver.
   SimOptions protocol;
   /// Traffic response model (event sim).
   TrafficModel traffic;

@@ -11,14 +11,6 @@ constexpr double kWalkSpeedMps = 1.4;
 
 SimResult SimulateRideSharing(XarSystem& xar,
                               const std::vector<TaxiTrip>& trips,
-                              const ScenarioConfig& config) {
-  // The replay protocol only consumes the protocol knobs; traffic and event
-  // injection are the event sim's job (sim/event_sim.h).
-  return SimulateRideSharing(xar, trips, config.protocol);
-}
-
-SimResult SimulateRideSharing(XarSystem& xar,
-                              const std::vector<TaxiTrip>& trips,
                               const SimOptions& options) {
   SimResult result;
   result.metrics.mode_name = "RideShare";
@@ -27,7 +19,7 @@ SimResult SimulateRideSharing(XarSystem& xar,
   std::size_t since_last_book = 0;
   for (const TaxiTrip& trip : trips) {
     ++result.requests;
-    if (options.advance_time) xar.AdvanceTime(trip.pickup_time_s);
+    xar.AdvanceTime(trip.pickup_time_s);
 
     RideRequest request;
     request.id = trip.id;

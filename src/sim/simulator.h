@@ -28,17 +28,10 @@ struct SimResult {
 };
 
 /// Runs the paper's simulation protocol over `trips` (time-ordered): each
-/// trip becomes a ride request; if a feasible ride exists, the least-walking
-/// match is booked; otherwise the commuter drives, creating a new shareable
-/// ride (capacity: XAR default seats). Operation latencies are recorded.
-SimResult SimulateRideSharing(XarSystem& xar,
-                              const std::vector<TaxiTrip>& trips,
-                              const ScenarioConfig& config);
-
-/// Protocol-knobs-only entry point: wraps `options` into a ScenarioConfig
-/// (traffic/events at their inert defaults) and runs the same loop, so the
-/// two spellings replay identically — pinned by the scenario differential
-/// test.
+/// trip advances the clock to its pickup time and becomes a ride request; if
+/// a feasible ride exists, the least-walking match is booked; otherwise the
+/// commuter drives, creating a new shareable ride (capacity: XAR default
+/// seats). Operation latencies are recorded.
 SimResult SimulateRideSharing(XarSystem& xar,
                               const std::vector<TaxiTrip>& trips,
                               const SimOptions& options = {});

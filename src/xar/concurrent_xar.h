@@ -7,12 +7,12 @@
 #include <cstddef>
 #include <cstdint>
 #include <functional>
-#include <future>
 #include <memory>
 #include <mutex>
 #include <shared_mutex>
 #include <string>
 #include <thread>
+#include <type_traits>
 #include <unordered_map>
 #include <utility>
 #include <vector>
@@ -53,6 +53,10 @@ inline StatsSection RetryStatsSection(const RetryStats& stats) {
   return section;
 }
 
+/// Search rounds of ConcurrentXarSystem::SearchAndBook: the first try plus
+/// at most one re-search after the world moved under a rejected wave.
+inline constexpr std::size_t kSearchAndBookRounds = 2;
+
 /// Thread-safe sharded deployment of XarSystem.
 ///
 /// The paper's search touches only precomputed sorted lists, which makes the
@@ -76,7 +80,8 @@ inline StatsSection RetryStatsSection(const RetryStats& stats) {
 ///  - SearchAndBook is optimistic: search under shared locks, then validate
 ///    and book under the owning shard's exclusive lock. Staleness (seat
 ///    taken, budget spent, cluster support gone) is detected by Book itself;
-///    on failure the next candidate is tried, then one full re-search round.
+///    on failure the next candidate is tried, then one full re-search round
+///    if a refresh or a write to some shard happened meanwhile.
 ///
 /// With num_shards == 1 this is the serial deployment: every lock is
 /// uncontended, ride ids are the dense 0,1,2,... of a lone XarSystem, and
@@ -104,7 +109,6 @@ class ConcurrentXarSystem {
         spatial_(&spatial),
         num_shards_(ResolveShardCount(num_shards)),
         max_results_(options.max_results),
-        book_rounds_(options.search_and_book_rounds),
         head_(BorrowRegionSnapshot(region)),
         oracle_(&oracle) {
     shards_.reserve(num_shards_);
@@ -188,38 +192,36 @@ class ConcurrentXarSystem {
   Result<RideId> CreateRide(const RideOffer& offer) {
     std::size_t s =
         next_shard_.fetch_add(1, std::memory_order_relaxed) % num_shards_;
-    Shard& shard = *shards_[s];
-    std::unique_lock lock(shard.mutex);
-    return shard.system.CreateRide(offer);
+    return Write(*shards_[s],
+                 [&](XarSystem& system) { return system.CreateRide(offer); });
   }
 
   Result<BookingRecord> Book(RideId ride, const RideRequest& request,
                              const RideMatch& match) {
     if (!ride.valid()) return Status::NotFound("unknown ride");
-    Shard& shard = ShardOf(ride);
-    std::unique_lock lock(shard.mutex);
-    return shard.system.Book(ride, request, match);
+    return Write(ShardOf(ride), [&](XarSystem& system) {
+      return system.Book(ride, request, match);
+    });
   }
 
   Status CancelBooking(RideId ride, RequestId request) {
     if (!ride.valid()) return Status::NotFound("unknown ride");
-    Shard& shard = ShardOf(ride);
-    std::unique_lock lock(shard.mutex);
-    return shard.system.CancelBooking(ride, request);
+    return Write(ShardOf(ride), [&](XarSystem& system) {
+      return system.CancelBooking(ride, request);
+    });
   }
 
   Status ReportNoShow(RideId ride, RequestId request) {
     if (!ride.valid()) return Status::NotFound("unknown ride");
-    Shard& shard = ShardOf(ride);
-    std::unique_lock lock(shard.mutex);
-    return shard.system.ReportNoShow(ride, request);
+    return Write(ShardOf(ride), [&](XarSystem& system) {
+      return system.ReportNoShow(ride, request);
+    });
   }
 
   Status CancelRide(RideId ride) {
     if (!ride.valid()) return Status::NotFound("unknown ride");
-    Shard& shard = ShardOf(ride);
-    std::unique_lock lock(shard.mutex);
-    return shard.system.CancelRide(ride);
+    return Write(ShardOf(ride),
+                 [&](XarSystem& system) { return system.CancelRide(ride); });
   }
 
   /// Advances every shard's clock, shard by shard in ascending order. A
@@ -230,6 +232,7 @@ class ConcurrentXarSystem {
     for (const std::unique_ptr<Shard>& shard : shards_) {
       std::unique_lock lock(shard->mutex);
       shard->system.AdvanceTime(now_s);
+      shard->BumpGeneration();
     }
   }
 
@@ -270,6 +273,7 @@ class ConcurrentXarSystem {
     for (const std::unique_ptr<Shard>& shard : shards_) {
       std::unique_lock lock(shard->mutex);
       rehomed += shard->system.AdoptSnapshot(next, delta.graph, delta.oracle);
+      shard->BumpGeneration();
     }
     if (delta.graph != nullptr) graph_ = delta.graph;
     // Every shard now routes on the new oracle; point wave pricing at it
@@ -290,13 +294,6 @@ class ConcurrentXarSystem {
     refresh_stats_.last_rides_rehomed = rehomed;
     refresh_stats_.total_rides_rehomed += rehomed;
     return refresh_stats_;
-  }
-
-  /// Runs RefreshDiscretization on a background thread. The delta's graph /
-  /// oracle / options must outlive the returned future's completion.
-  std::future<RefreshStats> RefreshDiscretizationAsync(GraphDelta delta = {}) {
-    return std::async(std::launch::async,
-                      [this, delta] { return RefreshDiscretization(delta); });
   }
 
   RefreshStats refresh_stats() const {
@@ -363,13 +360,14 @@ class ConcurrentXarSystem {
   /// holds only shared locks; the book validates the match under the owning
   /// shard's exclusive lock (Book re-checks seats, budget, cluster support
   /// and the discretization epoch). Candidates are tried in least-walking
-  /// order; when every one went stale — or the search came back empty while
-  /// a refresh moved the epoch mid-flight — the next round re-searches the
-  /// new state, up to XarOptions::search_and_book_rounds rounds total.
+  /// order; when every one was rejected and the world moved meanwhile (a
+  /// refresh, or any write to any shard), or the search came back empty
+  /// while a refresh moved the epoch mid-flight, the next round re-searches
+  /// the new state, up to kSearchAndBookRounds rounds total.
   Result<BookingRecord> SearchAndBook(const RideRequest& request) {
-    const std::size_t rounds = std::max<std::size_t>(1, book_rounds_);
-    for (std::size_t round = 0; round < rounds; ++round) {
+    for (std::size_t round = 0; round < kSearchAndBookRounds; ++round) {
       const std::uint64_t pinned_epoch = epoch();
+      const std::uint64_t pinned_generation = Generation();
       std::vector<RideMatch> matches = Search(request);
       if (post_search_hook_) post_search_hook_(request, round);
       // Price the whole wave with ONE oracle many-to-many batch before any
@@ -378,10 +376,7 @@ class ConcurrentXarSystem {
       // the rest carry their exact insertion detour.
       PriceWave(&matches);
       for (const RideMatch& match : matches) {
-        Shard& shard = ShardOf(match.ride);
-        std::unique_lock lock(shard.mutex);
-        Result<BookingRecord> booked =
-            shard.system.Book(match.ride, request, match);
+        Result<BookingRecord> booked = Book(match.ride, request, match);
         if (booked.ok()) {
           (round == 0 ? booked_first_try_ : booked_after_research_)
               .fetch_add(1, std::memory_order_relaxed);
@@ -390,9 +385,14 @@ class ConcurrentXarSystem {
         stale_rejections_.fetch_add(1, std::memory_order_relaxed);
       }
       // A re-search only pays when the world may have moved under us: a
-      // candidate went stale, or a refresh advanced the epoch mid-search.
-      // An empty result on a stable epoch is final.
-      if (matches.empty() && epoch() == pinned_epoch) break;
+      // refresh advanced the epoch, or a shard took a write after the
+      // rejected wave was searched. With neither, the next round would
+      // search, price and be rejected exactly like this one. An empty
+      // result on a stable epoch is final.
+      if (epoch() == pinned_epoch &&
+          (matches.empty() || Generation() == pinned_generation)) {
+        break;
+      }
     }
     unmatched_.fetch_add(1, std::memory_order_relaxed);
     return Status::NotFound("no feasible ride");
@@ -481,9 +481,34 @@ class ConcurrentXarSystem {
           DistanceOracle& oracle, XarOptions options)
         : system(graph, spatial, std::move(snapshot), oracle, options) {}
 
+    /// Bumped under the exclusive lock after every state change (a
+    /// successful write, AdvanceTime, snapshot adoption); read lock-free.
+    void BumpGeneration() { generation.fetch_add(1); }
+
     mutable std::shared_mutex mutex;
     XarSystem system;
+    std::atomic<std::uint64_t> generation{0};
   };
+
+  /// Runs `op` on the shard's system under its exclusive lock, bumping the
+  /// shard's generation if the write succeeded (a rejected write changes
+  /// nothing).
+  template <typename Op>
+  static std::invoke_result_t<Op&, XarSystem&> Write(Shard& shard, Op op) {
+    std::unique_lock lock(shard.mutex);
+    auto outcome = op(shard.system);
+    if (outcome.ok()) shard.BumpGeneration();
+    return outcome;
+  }
+
+  /// Sum of the shard generations: moves whenever any shard's state did.
+  std::uint64_t Generation() const {
+    std::uint64_t sum = 0;
+    for (const std::unique_ptr<Shard>& shard : shards_) {
+      sum += shard->generation.load();
+    }
+    return sum;
+  }
 
   static std::size_t ResolveShardCount(std::size_t requested) {
     if (requested > 0) return requested;
@@ -499,7 +524,6 @@ class ConcurrentXarSystem {
   const SpatialNodeIndex* spatial_;
   std::size_t num_shards_;
   std::size_t max_results_;
-  std::size_t book_rounds_;
   /// Last fully adopted snapshot; guarded by refresh_mutex_. Shards on an
   /// older epoch keep their snapshot alive independently via shared_ptr.
   std::shared_ptr<const RegionSnapshot> head_;

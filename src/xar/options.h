@@ -44,12 +44,6 @@ struct XarOptions {
   /// fixed-segment splice.
   bool kinetic_booking = false;
 
-  /// Retry policy of ConcurrentXarSystem::SearchAndBook: total number of
-  /// search rounds (first try + re-searches). A round is only re-run when
-  /// the previous one's candidates all went stale or the discretization
-  /// epoch moved mid-search; 1 disables re-searching entirely.
-  std::size_t search_and_book_rounds = 2;
-
   /// Meeting-points scenario (Laupichler & Sanders 2023): when true, Search
   /// keeps up to meeting_point_candidates pickup/drop-off landmarks per
   /// ride and side (instead of only the least-walk one), emitting one match

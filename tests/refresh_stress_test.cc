@@ -10,6 +10,7 @@
 
 #include <atomic>
 #include <cstdint>
+#include <future>
 #include <mutex>
 #include <thread>
 #include <unordered_map>
@@ -188,7 +189,8 @@ TEST(RefreshStressTest, AsyncRefreshCompletesWhileSearchersRun) {
     (void)xar.CreateRide(offer);
   }
 
-  std::future<RefreshStats> refresh = xar.RefreshDiscretizationAsync();
+  std::future<RefreshStats> refresh = std::async(
+      std::launch::async, [&] { return xar.RefreshDiscretization(); });
   std::size_t matched = 0;
   for (const TaxiTrip& t : Trips(city, 200, 91)) {
     matched += xar.Search(ToRequest(t, 70000)).empty() ? 0 : 1;

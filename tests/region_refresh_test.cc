@@ -1,16 +1,16 @@
 // Refreshable-discretization suite: rebuild + epoch swap must preserve
 // live rides' matchability (no-op refresh is invisible to search), expose
-// accurate refresh stats, reject cross-epoch matches as stale, and leave the
-// replay driver's matched/created counts untouched when run mid-simulation.
+// accurate refresh stats, reject cross-epoch matches as stale, and leave a
+// sharded replay's matched/created counts untouched when run mid-replay.
 
 #include <gtest/gtest.h>
 
 #include <vector>
 
 #include "discretize/region_snapshot.h"
-#include "sim/parallel_simulator.h"
 #include "tests/test_helpers.h"
 #include "workload/trip_generator.h"
+#include "xar/concurrent_xar.h"
 #include "xar/xar_system.h"
 
 namespace xar {
@@ -175,10 +175,52 @@ TEST_F(RegionRefreshTest, PerturbedGraphRefreshKeepsServing) {
   EXPECT_GT(booked, 0u);
 }
 
-// Acceptance criterion: a refresh executed mid-simulation by the parallel
-// replay driver yields the same matched/created counts as a run whose
-// (identical, since the refresh is a no-op rebuild) index was built up
-// front and never swapped.
+struct ReplayCounts {
+  std::size_t requests = 0;
+  std::size_t matched = 0;
+  std::size_t rides_created = 0;
+};
+
+// The replay protocol driven straight at a sharded system: advance the
+// clock, search, book the least-walking match, else the commuter drives and
+// offers the ride. When `refresh_every` > 0, a no-op RefreshDiscretization
+// (empty delta: rebuild the current region, new epoch) follows every
+// `refresh_every` trips and re-homes every live ride across the shards.
+ReplayCounts Replay(ConcurrentXarSystem& xar,
+                    const std::vector<TaxiTrip>& trips,
+                    std::size_t refresh_every) {
+  ReplayCounts counts;
+  for (const TaxiTrip& trip : trips) {
+    ++counts.requests;
+    xar.AdvanceTime(trip.pickup_time_s);
+    RideRequest request;
+    request.id = trip.id;
+    request.source = trip.pickup;
+    request.destination = trip.dropoff;
+    request.earliest_departure_s = trip.pickup_time_s;
+    request.latest_departure_s = trip.pickup_time_s + 900.0;
+    std::vector<RideMatch> matches = xar.Search(request);
+    if (!matches.empty() &&
+        xar.Book(matches.front().ride, request, matches.front()).ok()) {
+      ++counts.matched;
+    } else {
+      RideOffer offer;
+      offer.source = trip.pickup;
+      offer.destination = trip.dropoff;
+      offer.departure_time_s = trip.pickup_time_s;
+      if (xar.CreateRide(offer).ok()) ++counts.rides_created;
+    }
+    if (refresh_every > 0 && counts.requests % refresh_every == 0) {
+      (void)xar.RefreshDiscretization({});
+    }
+  }
+  return counts;
+}
+
+// Acceptance criterion: refreshes executed mid-replay on a sharded system,
+// re-homing its live rides each time, yield the same matched/created counts
+// as a run whose (identical, since each refresh is a no-op rebuild) index
+// was built up front and never swapped.
 TEST(RegionRefreshSimTest, MidSimRefreshMatchesUpfrontCounts) {
   TestCity& city = SharedCity();
   WorkloadOptions wopt;
@@ -186,21 +228,15 @@ TEST(RegionRefreshSimTest, MidSimRefreshMatchesUpfrontCounts) {
   wopt.seed = 11;
   std::vector<TaxiTrip> trips = GenerateTrips(city.graph.bounds(), wopt);
 
-  ParallelSimOptions options;
-  options.num_threads = 2;
-  options.batch_size = 64;
-
   GraphOracle oracle_upfront(city.graph);
   ConcurrentXarSystem upfront(city.graph, *city.spatial, *city.region,
                               oracle_upfront, {}, 4);
-  SimResult baseline = SimulateRideSharingParallel(upfront, trips, options);
+  ReplayCounts baseline = Replay(upfront, trips, /*refresh_every=*/0);
 
   GraphOracle oracle_refreshed(city.graph);
   ConcurrentXarSystem refreshed(city.graph, *city.spatial, *city.region,
                                 oracle_refreshed, {}, 4);
-  ParallelSimOptions with_refresh = options;
-  with_refresh.refresh_every_waves = 2;
-  SimResult mid = SimulateRideSharingParallel(refreshed, trips, with_refresh);
+  ReplayCounts mid = Replay(refreshed, trips, /*refresh_every=*/64);
 
   EXPECT_GE(refreshed.epoch(), 2u);
   EXPECT_GT(baseline.matched, 0u);

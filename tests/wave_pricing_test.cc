@@ -59,15 +59,13 @@ void Seed(System* xar, const TestCity& city, std::size_t n,
 // cache issues exactly ONE many-to-many batch against the backend, no
 // matter how many candidates the wave has. (CreateRide routes via
 // DriveRoute, which never populates the distance cache, so every pricing
-// pair is a miss.) One search round per SearchAndBook makes one call
-// exactly one wave.
+// pair is a miss.) Single-threaded, a rejected wave is never re-searched
+// (nothing moved), so one SearchAndBook call prices exactly one wave.
 TEST(BatchPricingTest, OneBatchOracleCallPerWave) {
   TestCity& city = SharedCity();
   GraphOracle oracle(city.graph);
-  XarOptions options;
-  options.search_and_book_rounds = 1;
-  ConcurrentXarSystem xar(city.graph, *city.spatial, *city.region, oracle,
-                          options, /*num_shards=*/1);
+  ConcurrentXarSystem xar(city.graph, *city.spatial, *city.region, oracle, {},
+                          /*num_shards=*/1);
   Seed(&xar, city, 250, 410);
 
   ASSERT_NE(oracle.routing_backend(), nullptr);

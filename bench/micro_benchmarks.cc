@@ -1,7 +1,7 @@
 // Google-benchmark microbenchmarks for the core operations and the design
 // ablations called out in DESIGN.md §4: routing engines, grid mapping,
 // cluster-list maintenance, ETA-range probes vs linear scan, candidate
-// intersection strategies, and the oracle LRU cache.
+// intersection strategies, and the oracle distance cache.
 
 #include <benchmark/benchmark.h>
 
@@ -92,7 +92,7 @@ void BM_BidirectionalDijkstra(benchmark::State& state) {
 }
 BENCHMARK(BM_BidirectionalDijkstra);
 
-// Ablation: oracle LRU cache on/off (booking-path workload repeats pairs).
+// Ablation: oracle distance cache on/off (booking-path workload repeats pairs).
 void BM_OracleCached(benchmark::State& state) {
   GraphOracle oracle(World().graph, /*cache_capacity=*/1 << 16);
   Rng rng(1);

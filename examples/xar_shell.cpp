@@ -26,9 +26,9 @@ int main() {
   dopt.landmarks.num_candidates = 400;
   RegionIndex region = RegionIndex::Build(graph, spatial, dopt);
 
-  // XAR_ROUTING_BACKEND / XAR_MATCH_INDEX / XAR_ORACLE_CACHE /
-  // XAR_PREPROCESS_THREADS override the defaults; a typo in any of them is
-  // a hard error, not a silent fall-through to the default.
+  // XAR_ROUTING_BACKEND / XAR_MATCH_INDEX / XAR_PREPROCESS_THREADS
+  // override the defaults; a typo in any of them is a hard error, not a
+  // silent fall-through to the default.
   XarOptions options;
   if (Status status = ApplyEnvOverrides(&options); !status.ok()) {
     std::fprintf(stderr, "%s\n", status.ToString().c_str());

@@ -17,7 +17,7 @@ struct EnumOption {
 };
 
 /// Uniform parser behind every *FromString helper (RoutingBackendFromString,
-/// MatchIndexFromString, OracleCachePolicyFromString, ...): matches `value`
+/// MatchIndexFromString, ...): matches `value`
 /// against the accepted spellings and, on an unknown name, returns one
 /// InvalidArgument shape that names the option, echoes the typo and lists
 /// the valid spellings:

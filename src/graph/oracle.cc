@@ -1,27 +1,8 @@
 #include "graph/oracle.h"
 
-#include <algorithm>
 #include <utility>
 
 namespace xar {
-namespace {
-
-/// Stripe-count heuristic: enough stripes to keep shard-parallel bookings
-/// off each other's locks, but never so many that per-stripe capacity drops
-/// below a useful LRU window (tiny test caches get exactly one stripe, i.e.
-/// strict global LRU — the pre-concurrency behaviour).
-std::size_t StripeCountFor(std::size_t cache_capacity) {
-  constexpr std::size_t kMaxStripes = 16;
-  constexpr std::size_t kMinStripeCapacity = 64;
-  std::size_t stripes = 1;
-  while (stripes < kMaxStripes &&
-         cache_capacity / (stripes * 2) >= kMinStripeCapacity) {
-    stripes *= 2;
-  }
-  return stripes;
-}
-
-}  // namespace
 
 std::vector<double> DistanceOracle::DriveDistancesToMany(
     NodeId from, const std::vector<NodeId>& targets) {
@@ -52,21 +33,10 @@ GraphOracle::GraphOracle(const RoadGraph& graph, std::size_t cache_capacity,
 GraphOracle::GraphOracle(const RoadGraph& graph,
                          std::unique_ptr<RoutingBackend> backend,
                          std::size_t cache_capacity,
-                         OracleCachePolicy cache_policy)
-    : graph_(graph),
-      backend_(std::move(backend)),
-      cache_capacity_(cache_capacity),
-      policy_(cache_policy) {
-  if (cache_capacity_ == 0) return;
-  if (policy_ == OracleCachePolicy::kClock) {
-    clock_cache_ = std::make_unique<OracleClockCache>(cache_capacity_);
-    return;
-  }
-  std::size_t num_stripes = StripeCountFor(cache_capacity_);
-  stripe_capacity_ = std::max<std::size_t>(1, cache_capacity_ / num_stripes);
-  stripes_.reserve(num_stripes);
-  for (std::size_t s = 0; s < num_stripes; ++s) {
-    stripes_.push_back(std::make_unique<Stripe>());
+                         OracleCachePolicy /*cache_policy*/)
+    : graph_(graph), backend_(std::move(backend)) {
+  if (cache_capacity != 0) {
+    clock_cache_ = std::make_unique<OracleClockCache>(cache_capacity);
   }
 }
 
@@ -76,101 +46,22 @@ void GraphOracle::Prewarm() {
   backend_->Prepare(Metric::kWalkDistance);
 }
 
-OracleCacheCounters GraphOracle::cache_counters() const {
-  if (clock_cache_ != nullptr) return clock_cache_->counters();
-  OracleCacheCounters c;
-  c.insertions = lru_insertions_.load(std::memory_order_relaxed);
-  c.evictions = lru_evictions_.load(std::memory_order_relaxed);
-  c.races = lru_races_.load(std::memory_order_relaxed);
-  return c;
-}
-
 double GraphOracle::CachedDistance(NodeId from, NodeId to, Metric metric) {
-  if (cache_capacity_ == 0) {
+  if (clock_cache_ == nullptr) {
     computations_.fetch_add(1, std::memory_order_relaxed);
     return backend_->Distance(from, to, metric);
   }
   OracleCacheKey key = MakeOracleCacheKey(from, to, metric);
-  if (clock_cache_ != nullptr) {
-    if (std::optional<double> cached = clock_cache_->Lookup(key)) {
-      cache_hits_.fetch_add(1, std::memory_order_relaxed);
-      return *cached;
-    }
-    computations_.fetch_add(1, std::memory_order_relaxed);
-    double d = backend_->Distance(from, to, metric);
-    // Lossy: a lost race or an all-hot window simply drops the entry — the
-    // next miss recomputes. Correctness never depends on the insert landing.
-    (void)clock_cache_->Insert(key, d);
-    return d;
+  if (std::optional<double> cached = clock_cache_->Lookup(key)) {
+    cache_hits_.fetch_add(1, std::memory_order_relaxed);
+    return *cached;
   }
-  return StripedLruDistance(key, from, to, metric);
-}
-
-double GraphOracle::StripedLruDistance(const OracleCacheKey& key, NodeId from,
-                                       NodeId to, Metric metric) {
-  Stripe& stripe = StripeOf(key);
-  {
-    std::lock_guard<std::mutex> lock(stripe.mutex);
-    auto it = stripe.map.find(key);
-    if (it != stripe.map.end()) {
-      cache_hits_.fetch_add(1, std::memory_order_relaxed);
-      stripe.lru.splice(stripe.lru.begin(), stripe.lru, it->second.lru_it);
-      return it->second.distance;
-    }
-  }
-  // Miss: compute outside the stripe lock so same-stripe lookups (and other
-  // threads racing on this very key) are never blocked behind a search.
   computations_.fetch_add(1, std::memory_order_relaxed);
   double d = backend_->Distance(from, to, metric);
-  std::lock_guard<std::mutex> lock(stripe.mutex);
-  auto it = stripe.map.find(key);
-  if (it != stripe.map.end()) {
-    // A racing thread inserted the same key first; keep its entry.
-    lru_races_.fetch_add(1, std::memory_order_relaxed);
-    return it->second.distance;
-  }
-  stripe.lru.push_front(key);
-  stripe.map.emplace(key, CacheEntry{d, stripe.lru.begin()});
-  lru_insertions_.fetch_add(1, std::memory_order_relaxed);
-  if (stripe.map.size() > stripe_capacity_) {
-    stripe.map.erase(stripe.lru.back());
-    stripe.lru.pop_back();
-    lru_evictions_.fetch_add(1, std::memory_order_relaxed);
-  }
+  // Lossy: a lost race or an all-hot window simply drops the entry — the
+  // next miss recomputes. Correctness never depends on the insert landing.
+  (void)clock_cache_->Insert(key, d);
   return d;
-}
-
-std::optional<double> GraphOracle::CacheProbe(const OracleCacheKey& key) {
-  if (cache_capacity_ == 0) return std::nullopt;
-  if (clock_cache_ != nullptr) return clock_cache_->Lookup(key);
-  Stripe& stripe = StripeOf(key);
-  std::lock_guard<std::mutex> lock(stripe.mutex);
-  auto it = stripe.map.find(key);
-  if (it == stripe.map.end()) return std::nullopt;
-  stripe.lru.splice(stripe.lru.begin(), stripe.lru, it->second.lru_it);
-  return it->second.distance;
-}
-
-void GraphOracle::CacheInsert(const OracleCacheKey& key, double distance) {
-  if (cache_capacity_ == 0) return;
-  if (clock_cache_ != nullptr) {
-    (void)clock_cache_->Insert(key, distance);
-    return;
-  }
-  Stripe& stripe = StripeOf(key);
-  std::lock_guard<std::mutex> lock(stripe.mutex);
-  if (stripe.map.find(key) != stripe.map.end()) {
-    lru_races_.fetch_add(1, std::memory_order_relaxed);
-    return;
-  }
-  stripe.lru.push_front(key);
-  stripe.map.emplace(key, CacheEntry{distance, stripe.lru.begin()});
-  lru_insertions_.fetch_add(1, std::memory_order_relaxed);
-  if (stripe.map.size() > stripe_capacity_) {
-    stripe.map.erase(stripe.lru.back());
-    stripe.lru.pop_back();
-    lru_evictions_.fetch_add(1, std::memory_order_relaxed);
-  }
 }
 
 std::vector<double> GraphOracle::DriveDistancesToMany(
@@ -195,8 +86,12 @@ std::vector<double> GraphOracle::DriveDistanceMatrix(
   std::size_t misses = 0;
   for (std::size_t s = 0; s < s_count; ++s) {
     for (std::size_t t = 0; t < t_count; ++t) {
-      OracleCacheKey key = MakeOracleCacheKey(sources[s], targets[t], metric);
-      if (std::optional<double> cached = CacheProbe(key)) {
+      std::optional<double> cached;
+      if (clock_cache_ != nullptr) {
+        cached = clock_cache_->Lookup(
+            MakeOracleCacheKey(sources[s], targets[t], metric));
+      }
+      if (cached) {
         out[s * t_count + t] = *cached;
         ++hits;
       } else {
@@ -239,7 +134,10 @@ std::vector<double> GraphOracle::DriveDistanceMatrix(
       if (!missing[s * t_count + t]) continue;
       double d = sub[src_at[s] * miss_targets.size() + tgt_at[t]];
       out[s * t_count + t] = d;
-      CacheInsert(MakeOracleCacheKey(sources[s], targets[t], metric), d);
+      if (clock_cache_ != nullptr) {
+        (void)clock_cache_->Insert(
+            MakeOracleCacheKey(sources[s], targets[t], metric), d);
+      }
     }
   }
   return out;

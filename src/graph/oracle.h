@@ -4,11 +4,8 @@
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
-#include <list>
 #include <memory>
-#include <mutex>
 #include <optional>
-#include <unordered_map>
 #include <vector>
 
 #include "common/stats_registry.h"
@@ -102,27 +99,22 @@ class DistanceOracle {
 /// RoutingBackendKind::kAStar for the preprocessing-free behaviour this
 /// class had before backends were pluggable.
 ///
-/// The cache is policy-pluggable (OracleCachePolicy):
-///  - kClock (default): lossy lock-free CLOCK approximation — no locks on
-///    the read or insert path, so same-bucket insertions never serialize.
-///    Losing an insert race drops the entry and the backend recomputes;
-///    returned distances are bit-identical either way because the backend
-///    is a pure function of (from, to, metric).
-///  - kStripedLru: the previous exact striped LRU (per-stripe mutex and LRU
-///    list; hot-path locks are per-stripe and never held during a
-///    shortest-path computation). Kept behind the policy enum so
-///    differential tests can compare both.
+/// The cache is the lossy lock-free CLOCK approximation (OracleClockCache):
+/// no locks on the read or insert path, so same-bucket insertions never
+/// serialize. Losing an insert race drops the entry and the backend
+/// recomputes; returned distances are bit-identical either way because the
+/// backend is a pure function of (from, to, metric).
 ///
-/// Thread-safe under either policy: the backend leases per-thread
-/// workspaces internally, so any number of threads can query concurrently.
-/// Two threads racing on the same cold key may both compute it;
-/// computation_count() reports real computations, so single-threaded
-/// counts are exactly as before.
+/// Thread-safe: the backend leases per-thread workspaces internally, so
+/// any number of threads can query concurrently. Two threads racing on the
+/// same cold key may both compute it; computation_count() reports real
+/// computations, so single-threaded counts are exactly as before.
 class GraphOracle : public DistanceOracle {
  public:
-  /// `cache_capacity` = max cached (src,dst,metric) distance entries;
-  /// 0 disables caching. For kStripedLru, small capacities use a single
-  /// stripe so eviction order stays strict LRU.
+  /// `cache_capacity` = max cached (src,dst,metric) distance entries
+  /// (rounded up to a power of two, minimum 8); 0 disables caching.
+  /// `cache_policy` has the one value kClock; the parameter stays for
+  /// callers that pass XarOptions::oracle_cache.
   explicit GraphOracle(const RoadGraph& graph,
                        std::size_t cache_capacity = 1 << 16,
                        RoutingBackendKind backend = RoutingBackendKind::kCh,
@@ -157,12 +149,16 @@ class GraphOracle : public DistanceOracle {
   }
   const char* backend_name() const override { return backend_->name(); }
   const char* cache_policy_name() const override {
-    return cache_capacity_ == 0 ? "none" : OracleCachePolicyName(policy_);
+    return clock_cache_ == nullptr
+               ? "none"
+               : OracleCachePolicyName(OracleCachePolicy::kClock);
   }
-  OracleCacheCounters cache_counters() const override;
+  OracleCacheCounters cache_counters() const override {
+    return clock_cache_ == nullptr ? OracleCacheCounters{}
+                                   : clock_cache_->counters();
+  }
   void Prewarm() override;
 
-  OracleCachePolicy cache_policy() const { return policy_; }
   RoutingBackend& backend() { return *backend_; }
   const RoutingBackend& backend() const { return *backend_; }
   const RoutingBackend* routing_backend() const override {
@@ -171,42 +167,12 @@ class GraphOracle : public DistanceOracle {
   RoutingBackend* mutable_routing_backend() override { return backend_.get(); }
 
  private:
-  struct CacheEntry {
-    double distance;
-    std::list<OracleCacheKey>::iterator lru_it;
-  };
-  struct Stripe {
-    std::mutex mutex;
-    std::list<OracleCacheKey> lru;
-    std::unordered_map<OracleCacheKey, CacheEntry, OracleCacheKeyHash> map;
-  };
-
   double CachedDistance(NodeId from, NodeId to, Metric metric);
-  double StripedLruDistance(const OracleCacheKey& key, NodeId from, NodeId to,
-                            Metric metric);
-  /// Probe-only cache read (either policy); no counters, no computation.
-  std::optional<double> CacheProbe(const OracleCacheKey& key);
-  /// Insert-only cache write (either policy); keeps the insert-path
-  /// counters of the active policy.
-  void CacheInsert(const OracleCacheKey& key, double distance);
-  Stripe& StripeOf(const OracleCacheKey& key) {
-    return *stripes_[OracleCacheKeyHash{}(key) % stripes_.size()];
-  }
 
   const RoadGraph& graph_;
   std::unique_ptr<RoutingBackend> backend_;
-  std::size_t cache_capacity_;
-  OracleCachePolicy policy_;
-
-  // kClock state.
+  /// nullptr exactly when the oracle was built with capacity 0.
   std::unique_ptr<OracleClockCache> clock_cache_;
-
-  // kStripedLru state.
-  std::size_t stripe_capacity_ = 0;
-  std::vector<std::unique_ptr<Stripe>> stripes_;
-  std::atomic<std::uint64_t> lru_insertions_{0};
-  std::atomic<std::uint64_t> lru_evictions_{0};
-  std::atomic<std::uint64_t> lru_races_{0};
 
   std::atomic<std::size_t> computations_{0};
   std::atomic<std::size_t> cache_hits_{0};
@@ -234,9 +200,9 @@ class HaversineOracle : public DistanceOracle {
   double drive_speed_mps_;
 };
 
-/// "oracle" stats section (backend, cache policy, computations, cache hits,
-/// hit rate, settled nodes, insert-path counters) — the observability the
-/// ROADMAP's striped-cache question asked for. Register on a StatsRegistry:
+/// "oracle" stats section (backend, cache name, computations, cache hits,
+/// hit rate, settled nodes, insert-path counters). Register on a
+/// StatsRegistry:
 ///   registry.Register("oracle", [&] { return OracleStatsSection(oracle); });
 StatsSection OracleStatsSection(const DistanceOracle& oracle);
 

@@ -7,35 +7,25 @@
 #include <cstdint>
 #include <memory>
 #include <optional>
-#include <string_view>
 
 #include "common/ids.h"
-#include "common/result.h"
 #include "graph/road_graph.h"
 
 namespace xar {
 
-/// Which distance-cache implementation a GraphOracle runs in front of its
-/// routing backend (XarOptions::oracle_cache picks one per system).
+/// The distance cache a GraphOracle runs in front of its routing backend.
+/// CLOCK is the only implementation; the enum and XarOptions::oracle_cache
+/// stay because existing callers pass the field to the GraphOracle
+/// constructor.
 enum class OracleCachePolicy {
-  /// Striped LRU: exact LRU order per stripe, per-stripe mutex. Insertions
-  /// on the same stripe serialize — the scaling hazard the ROADMAP flags.
-  kStripedLru,
   /// Lossy lock-free CLOCK approximation (OracleClockCache): no locks on
   /// the read or insert path; losing a race simply drops the entry and the
-  /// backend recomputes. The production default.
+  /// backend recomputes.
   kClock,
 };
 
-/// Stable lowercase name ("striped_lru", "clock") for logs/stats/JSON.
+/// Stable lowercase name ("clock") for logs/stats/JSON.
 const char* OracleCachePolicyName(OracleCachePolicy policy);
-
-/// Inverse of OracleCachePolicyName; nullopt on unknown names.
-std::optional<OracleCachePolicy> ParseOracleCachePolicy(std::string_view name);
-
-/// Like ParseOracleCachePolicy, but unknown names yield an InvalidArgument
-/// status listing the valid names — use for user input (env vars, CLI).
-Result<OracleCachePolicy> OracleCachePolicyFromString(std::string_view name);
 
 /// Cache key of one (from, to, metric) distance query. `from` and `to` use
 /// the full 32 bits each: the old single-uint64 packing (`from << 34 |
@@ -72,7 +62,7 @@ struct OracleCacheKeyHash {
   }
 };
 
-/// Structural counters shared by both cache policies. Hits and misses are
+/// Insert-path counters of the distance cache. Hits and misses are
 /// counted by the owning GraphOracle (cache_hit_count / computation_count);
 /// these count what happened on the insert path.
 struct OracleCacheCounters {
@@ -102,10 +92,14 @@ struct OracleCacheCounters {
 /// same CAS. If every claim attempt loses its race the insertion is
 /// dropped — lossy by design, the entry just isn't cached this time.
 ///
-/// No mutex anywhere; no operation ever blocks another. TSan-clean: every
-/// shared field is a std::atomic and the per-slot publication protocol is
-/// the standard seqlock (acquire fence between the payload reads and the
-/// sequence re-check, release store publishing the new sequence).
+/// No mutex anywhere; no operation ever blocks another. TSan-checkable:
+/// every shared field is a std::atomic and the per-slot publication
+/// protocol is the standard seqlock without standalone fences (Boehm,
+/// "Can seqlocks get along with programming language memory models?"):
+/// the writer stores the payload words with release order after its
+/// acquire claim CAS, and the reader loads them with acquire order before
+/// re-checking the sequence, so when the re-check still sees the old
+/// sequence, no payload word read came from a later writer.
 class OracleClockCache {
  public:
   /// `capacity` is rounded up to a power of two (minimum 8). The probe

@@ -16,6 +16,14 @@ namespace {
 /// refreshes keep running this long past it so late rides see live traffic.
 constexpr double kDrainWindowS = 3600.0;
 
+/// Distance-cache slots of each refresh oracle. One oracle serves one
+/// refresh period: at the 450 s period of the rush-hour scenario (4 shards,
+/// kinetic booking) each caches 5.6k-9.0k distances, under 14% of a
+/// 65,536-slot table, and the sim keeps every refresh oracle alive, so
+/// oversized tables dominate its resident set. 16,384 slots evict at most
+/// ~90 entries per period there; a lost entry only costs a recomputation.
+constexpr std::size_t kRefreshOracleCacheCapacity = std::size_t{1} << 14;
+
 class ConcurrentSimTarget final : public SimTarget {
  public:
   explicit ConcurrentSimTarget(ConcurrentXarSystem& xar) : xar_(&xar) {}
@@ -283,7 +291,7 @@ void EventSim::HandleRefresh(SimTarget& target, const Event& event,
         return CongestionFactor(from, to, now_s);
       }));
   auto oracle = std::make_unique<GraphOracle>(
-      *graph, /*cache_capacity=*/1 << 16, system_options_.routing_backend,
+      *graph, kRefreshOracleCacheCapacity, system_options_.routing_backend,
       system_options_.BackendOptions(), system_options_.oracle_cache);
   GraphDelta delta;
   delta.graph = graph.get();

@@ -33,9 +33,6 @@ Status ApplyEnvOverrides(XarOptions* options) {
   status = ApplyParsed("XAR_MATCH_INDEX", MatchIndexFromString,
                        &options->match_index);
   if (!status.ok()) return status;
-  status = ApplyParsed("XAR_ORACLE_CACHE", OracleCachePolicyFromString,
-                       &options->oracle_cache);
-  if (!status.ok()) return status;
   if (const char* env = std::getenv("XAR_PREPROCESS_THREADS")) {
     options->preprocess_threads =
         static_cast<std::size_t>(std::strtoul(env, nullptr, 10));

@@ -10,7 +10,6 @@ namespace xar {
 ///
 ///   XAR_ROUTING_BACKEND=dijkstra|astar|alt|ch
 ///   XAR_MATCH_INDEX=cluster|st_hash
-///   XAR_ORACLE_CACHE=clock|striped_lru
 ///   XAR_PREPROCESS_THREADS=N   (0 = all cores)
 ///
 /// Unset variables leave the corresponding field untouched. A typo in any

@@ -78,12 +78,10 @@ struct XarOptions {
   /// booking once the lazy per-metric build has run.
   RoutingBackendKind routing_backend = RoutingBackendKind::kCh;
 
-  /// Which distance-cache implementation the GraphOracle serving this
-  /// system runs in front of the routing backend. Like routing_backend,
-  /// honored by whoever constructs the oracle. kClock (lossy lock-free
-  /// CLOCK approximation) is the production default — same-bucket
-  /// insertions never serialize on a stripe mutex; kStripedLru keeps the
-  /// exact striped LRU for differential comparison.
+  /// The distance cache the GraphOracle serving this system runs in front
+  /// of the routing backend. kClock (lossy lock-free CLOCK approximation)
+  /// is the only value; the field stays because oracle constructors in
+  /// existing callers (benchmark worlds, examples, the event sim) pass it.
   OracleCachePolicy oracle_cache = OracleCachePolicy::kClock;
 
   /// Worker threads for backend preprocessing (contraction-hierarchy

@@ -1,6 +1,6 @@
-// Randomized differential fuzz harness (ISSUE 5): seed-parameterized
-// TripGenerator workloads replayed through every (system, cache-policy)
-// combination — XarSystem vs ConcurrentXarSystem, kClock vs kStripedLru.
+// Randomized differential fuzz harness: seed-parameterized TripGenerator
+// workloads replayed through every (system, oracle cache) combination —
+// XarSystem vs ConcurrentXarSystem, CLOCK-cached vs uncached oracle.
 // The configurations must be observationally identical: same ride ids, same
 // match lists, same booking outcomes, bit-identical detours — and every
 // booking must respect the paper's 4-epsilon detour guarantee.
@@ -48,6 +48,8 @@ std::vector<std::uint64_t> FuzzSeeds() {
 /// machine-dependent (ride ids are dense across shards for any fixed count,
 /// but the count must not float).
 constexpr std::size_t kShards = 4;
+/// Cache capacity of the cached configurations (the others run uncached).
+constexpr std::size_t kCacheCapacity = 1 << 10;
 
 struct Workload {
   std::vector<RideOffer> offers;
@@ -80,15 +82,16 @@ Workload MakeWorkload(std::uint64_t seed) {
   return w;
 }
 
-/// One system-under-test: its own oracle (policy under test) over the shared
-/// city, wrapped in either a plain XarSystem or a sharded concurrent one.
+/// One system-under-test: its own oracle (cache capacity under test; 0 =
+/// uncached) over the shared city, wrapped in either a plain XarSystem or a
+/// sharded concurrent one.
 /// Both are driven through the same serial Search/Book interface here; the
 /// threaded phase exercises ConcurrentXarSystem::SearchAndBook separately.
 class Config {
  public:
-  Config(OracleCachePolicy policy, bool concurrent)
-      : oracle_(testing::SharedCity().graph, /*cache_capacity=*/1 << 10,
-                RoutingBackendKind::kAStar, {}, policy) {
+  Config(std::size_t cache_capacity, bool concurrent)
+      : oracle_(testing::SharedCity().graph, cache_capacity,
+                RoutingBackendKind::kAStar) {
     testing::TestCity& city = testing::SharedCity();
     if (concurrent) {
       concurrent_ = std::make_unique<ConcurrentXarSystem>(
@@ -129,14 +132,12 @@ TEST_P(DifferentialFuzzTest, AllConfigurationsAgree) {
 
   // Reference config first; every other config must match it exactly.
   std::vector<std::unique_ptr<Config>> configs;
-  configs.push_back(
-      std::make_unique<Config>(OracleCachePolicy::kClock, /*concurrent=*/false));
-  configs.push_back(std::make_unique<Config>(OracleCachePolicy::kStripedLru,
+  configs.push_back(std::make_unique<Config>(kCacheCapacity,
                                              /*concurrent=*/false));
-  configs.push_back(
-      std::make_unique<Config>(OracleCachePolicy::kClock, /*concurrent=*/true));
-  configs.push_back(std::make_unique<Config>(OracleCachePolicy::kStripedLru,
+  configs.push_back(std::make_unique<Config>(0, /*concurrent=*/false));
+  configs.push_back(std::make_unique<Config>(kCacheCapacity,
                                              /*concurrent=*/true));
+  configs.push_back(std::make_unique<Config>(0, /*concurrent=*/true));
 
   for (const RideOffer& offer : w.offers) {
     Result<RideId> ref = configs[0]->CreateRide(offer);
@@ -202,7 +203,7 @@ TEST_P(DifferentialFuzzTest, AllConfigurationsAgree) {
 }
 
 // Threaded phase: the same workload pushed through the optimistic
-// SearchAndBook path from many threads, under both cache policies. Exact
+// SearchAndBook path from many threads, cached and uncached. Exact
 // equality is meaningless under concurrent interleaving, so this phase
 // checks invariants instead: every success respects the detour bound, the
 // books+unmatched+failed accounting covers every request, and (under TSan)
@@ -215,11 +216,9 @@ TEST_P(DifferentialFuzzTest, ThreadedSearchAndBookInvariants) {
   const double slack = 4 * city.region->epsilon() +
                        2 * city.region->options().max_drive_to_landmark_m;
 
-  for (OracleCachePolicy policy :
-       {OracleCachePolicy::kClock, OracleCachePolicy::kStripedLru}) {
-    SCOPED_TRACE(OracleCachePolicyName(policy));
-    GraphOracle oracle(city.graph, /*cache_capacity=*/1 << 10,
-                       RoutingBackendKind::kAStar, {}, policy);
+  for (std::size_t cache_capacity : {kCacheCapacity, std::size_t{0}}) {
+    SCOPED_TRACE(::testing::Message() << "cache capacity " << cache_capacity);
+    GraphOracle oracle(city.graph, cache_capacity, RoutingBackendKind::kAStar);
     ConcurrentXarSystem sys(city.graph, *city.spatial, *city.region, oracle,
                             XarOptions{}, kShards);
     for (const RideOffer& offer : w.offers) {

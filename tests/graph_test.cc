@@ -271,23 +271,25 @@ TEST(OracleTest, CacheHitsOnRepeatedQueries) {
   EXPECT_EQ(oracle.cache_hit_count(), 1u);
 }
 
-// Strict-LRU eviction order is a kStripedLru property (the lossy CLOCK
-// cache evicts approximately — see tests/oracle_cache_test.cc for its
-// eviction suite), so this test pins the policy explicitly.
+// The CLOCK cache evicts approximately (tests/oracle_cache_test.cc pins its
+// victim choice), but an 8-slot table cannot hold 10 keys: at least two of
+// them must be recomputed on the second pass.
 TEST(OracleTest, CacheEvictsAtCapacity) {
   CityOptions opt;
   opt.rows = 8;
   opt.cols = 8;
   opt.seed = 15;
   RoadGraph g = GenerateCity(opt);
-  GraphOracle oracle(g, 4, RoutingBackendKind::kCh, {},
-                     OracleCachePolicy::kStripedLru);
+  GraphOracle oracle(g, 8, RoutingBackendKind::kCh);
   for (std::uint32_t i = 1; i <= 10; ++i) {
     oracle.DriveDistance(NodeId(0), NodeId(i));
   }
-  std::size_t before = oracle.computation_count();
-  oracle.DriveDistance(NodeId(0), NodeId(1));  // evicted long ago
-  EXPECT_GT(oracle.computation_count(), before);
+  EXPECT_EQ(oracle.computation_count(), 10u);
+  for (std::uint32_t i = 1; i <= 10; ++i) {
+    oracle.DriveDistance(NodeId(0), NodeId(i));
+  }
+  EXPECT_GE(oracle.computation_count(), 12u);
+  EXPECT_GT(oracle.cache_counters().evictions, 0u);
 }
 
 TEST(OracleTest, RouteMatchesDistance) {

@@ -1,4 +1,4 @@
-// Unit + differential suite for the oracle distance caches (ISSUE 5).
+// Unit + differential suite for the oracle's CLOCK distance cache.
 //
 // Unit half: the lock-free CLOCK cache's slot protocol — CAS claim,
 // occupancy bound, second-chance eviction, duplicate handling — exercised
@@ -6,9 +6,9 @@
 // whole table, so eviction pressure is forced without hash engineering).
 //
 // Differential half: a lossy cache is only safe if it can never change an
-// answer. Cached vs uncached, and kClock vs kStripedLru, must return
-// bit-identical distances across all three metrics — including after a
-// RefreshDiscretization epoch swap onto a perturbed graph.
+// answer. Cached vs uncached, and a heavily evicting capacity-8 table vs a
+// roomy one, must return bit-identical distances across all three metrics —
+// including after a RefreshDiscretization epoch swap onto a perturbed graph.
 
 #include <gtest/gtest.h>
 
@@ -213,24 +213,30 @@ void ExpectBitIdenticalDistances(DistanceOracle& lhs, DistanceOracle& rhs,
 TEST(OracleCacheDifferentialTest, ClockCachedVsUncachedBitIdentical) {
   RoadGraph g = DifferentialCity();
   // Tiny capacity keeps the CLOCK cache under eviction pressure throughout.
-  GraphOracle cached(g, /*cache_capacity=*/64, RoutingBackendKind::kAStar, {},
-                     OracleCachePolicy::kClock);
+  GraphOracle cached(g, /*cache_capacity=*/64, RoutingBackendKind::kAStar);
   GraphOracle uncached(g, /*cache_capacity=*/0, RoutingBackendKind::kAStar);
   ExpectBitIdenticalDistances(cached, uncached, RandomPairs(g, 250, 7));
   EXPECT_GT(cached.cache_hit_count(), 0u);
 }
 
-TEST(OracleCacheDifferentialTest, ClockVsStripedLruBitIdentical) {
+TEST(OracleCacheDifferentialTest, EvictingVsRoomyClockBitIdentical) {
   RoadGraph g = DifferentialCity();
-  GraphOracle clock(g, /*cache_capacity=*/256, RoutingBackendKind::kAStar, {},
-                    OracleCachePolicy::kClock);
-  GraphOracle lru(g, /*cache_capacity=*/256, RoutingBackendKind::kAStar, {},
-                  OracleCachePolicy::kStripedLru);
-  ExpectBitIdenticalDistances(clock, lru, RandomPairs(g, 250, 11));
-  EXPECT_GT(clock.cache_hit_count(), 0u);
-  EXPECT_GT(lru.cache_hit_count(), 0u);
-  EXPECT_STREQ(clock.cache_policy_name(), "clock");
-  EXPECT_STREQ(lru.cache_policy_name(), "striped_lru");
+  // Capacity 8: one probe window spans the whole table, so nearly every
+  // insertion evicts. 1 << 16 never evicts on 64 nodes x 3 metrics.
+  GraphOracle small(g, /*cache_capacity=*/8, RoutingBackendKind::kAStar);
+  GraphOracle large(g, /*cache_capacity=*/1 << 16,
+                    RoutingBackendKind::kAStar);
+  const std::vector<std::pair<NodeId, NodeId>> pairs = RandomPairs(g, 250, 11);
+  ExpectBitIdenticalDistances(small, large, pairs);
+  // Second pass with the roles swapped: the roomy table serves every repeat.
+  ExpectBitIdenticalDistances(large, small, pairs);
+  EXPECT_GT(small.cache_hit_count(), 0u);
+  EXPECT_GT(large.cache_hit_count(), 0u);
+  EXPECT_GT(small.cache_counters().evictions, 0u);
+  EXPECT_EQ(large.cache_counters().evictions, 0u);
+  EXPECT_GT(small.computation_count(), large.computation_count());
+  EXPECT_STREQ(small.cache_policy_name(), "clock");
+  EXPECT_STREQ(large.cache_policy_name(), "clock");
 }
 
 /// Replays `requests` as Search + Book-first-match on both systems and
@@ -261,17 +267,16 @@ void ExpectIdenticalReplay(XarSystem& a, XarSystem& b,
   EXPECT_GT(bookings, 0u);
 }
 
-// Full-system differential across the cache policies, through a
+// Full-system differential, cached vs uncached, through a
 // RefreshDiscretization epoch swap onto a perturbed graph: the lossy cache
 // must never change a match, a booking or a post-refresh route.
-TEST(OracleCacheDifferentialTest, PoliciesAgreeThroughRefreshEpochSwap) {
+TEST(OracleCacheDifferentialTest,
+     CachedAndUncachedAgreeThroughRefreshEpochSwap) {
   testing::TestCity& city = testing::SharedCity();
-  GraphOracle clock_oracle(city.graph, 1 << 12, RoutingBackendKind::kAStar,
-                           {}, OracleCachePolicy::kClock);
-  GraphOracle lru_oracle(city.graph, 1 << 12, RoutingBackendKind::kAStar, {},
-                         OracleCachePolicy::kStripedLru);
+  GraphOracle clock_oracle(city.graph, 1 << 12, RoutingBackendKind::kAStar);
+  GraphOracle plain_oracle(city.graph, 0, RoutingBackendKind::kAStar);
   XarSystem clock_sys(city.graph, *city.spatial, *city.region, clock_oracle);
-  XarSystem lru_sys(city.graph, *city.spatial, *city.region, lru_oracle);
+  XarSystem plain_sys(city.graph, *city.spatial, *city.region, plain_oracle);
 
   WorkloadOptions wopt;
   wopt.num_trips = 500;
@@ -284,7 +289,7 @@ TEST(OracleCacheDifferentialTest, PoliciesAgreeThroughRefreshEpochSwap) {
       offer.destination = t.dropoff;
       offer.departure_time_s = t.pickup_time_s;
       Result<RideId> ra = clock_sys.CreateRide(offer);
-      Result<RideId> rb = lru_sys.CreateRide(offer);
+      Result<RideId> rb = plain_sys.CreateRide(offer);
       ASSERT_EQ(ra.ok(), rb.ok());
     } else {
       RideRequest req;
@@ -300,36 +305,38 @@ TEST(OracleCacheDifferentialTest, PoliciesAgreeThroughRefreshEpochSwap) {
                                   requests.begin() + requests.size() / 2);
   std::vector<RideRequest> after(requests.begin() + requests.size() / 2,
                                  requests.end());
-  ExpectIdenticalReplay(clock_sys, lru_sys, before);
+  ExpectIdenticalReplay(clock_sys, plain_sys, before);
 
   // Swap epochs onto a perturbed metric, each system refreshing onto a
-  // fresh oracle of its own policy.
+  // fresh oracle with the same cache capacity as before.
   RoadGraph perturbed = PerturbEdgeWeights(city.graph, 0.25, 4242);
-  GraphOracle clock_oracle2(perturbed, 1 << 12, RoutingBackendKind::kAStar,
-                            {}, OracleCachePolicy::kClock);
-  GraphOracle lru_oracle2(perturbed, 1 << 12, RoutingBackendKind::kAStar, {},
-                          OracleCachePolicy::kStripedLru);
+  GraphOracle clock_oracle2(perturbed, 1 << 12, RoutingBackendKind::kAStar);
+  GraphOracle plain_oracle2(perturbed, 0, RoutingBackendKind::kAStar);
   GraphDelta clock_delta;
   clock_delta.graph = &perturbed;
   clock_delta.oracle = &clock_oracle2;
-  GraphDelta lru_delta;
-  lru_delta.graph = &perturbed;
-  lru_delta.oracle = &lru_oracle2;
+  GraphDelta plain_delta;
+  plain_delta.graph = &perturbed;
+  plain_delta.oracle = &plain_oracle2;
   ASSERT_EQ(clock_sys.RefreshDiscretization(clock_delta).epoch, 1u);
-  ASSERT_EQ(lru_sys.RefreshDiscretization(lru_delta).epoch, 1u);
+  ASSERT_EQ(plain_sys.RefreshDiscretization(plain_delta).epoch, 1u);
 
-  ExpectIdenticalReplay(clock_sys, lru_sys, after);
+  ExpectIdenticalReplay(clock_sys, plain_sys, after);
 
   // The replay alone may not repeat any (from, to, metric); probe a fixed
-  // pair twice to prove both post-refresh oracles really serve hits.
-  for (GraphOracle* o : {&clock_oracle2, &lru_oracle2}) {
-    std::size_t hits_before = o->cache_hit_count();
-    double d1 = o->DriveDistance(NodeId(0), NodeId(1));
-    double d2 = o->DriveDistance(NodeId(0), NodeId(1));
-    EXPECT_EQ(std::bit_cast<std::uint64_t>(d1),
-              std::bit_cast<std::uint64_t>(d2));
-    EXPECT_GT(o->cache_hit_count(), hits_before) << o->cache_policy_name();
-  }
+  // pair twice to prove the post-refresh cached oracle really serves hits
+  // and agrees with the uncached one.
+  std::size_t hits_before = clock_oracle2.cache_hit_count();
+  double d1 = clock_oracle2.DriveDistance(NodeId(0), NodeId(1));
+  double d2 = clock_oracle2.DriveDistance(NodeId(0), NodeId(1));
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(d1),
+            std::bit_cast<std::uint64_t>(d2));
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(d1),
+            std::bit_cast<std::uint64_t>(
+                plain_oracle2.DriveDistance(NodeId(0), NodeId(1))));
+  EXPECT_GT(clock_oracle2.cache_hit_count(), hits_before);
+  EXPECT_EQ(plain_oracle2.cache_hit_count(), 0u);
+  EXPECT_STREQ(plain_oracle2.cache_policy_name(), "none");
 }
 
 }  // namespace

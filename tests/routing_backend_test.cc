@@ -235,7 +235,7 @@ TEST(RoutingBackendTest, ChOracleAgreesWithDijkstraAfterRefresh) {
                      reference->Distance(a, b, Metric::kDriveDistance));
   }
 
-  // Repeat queries hit the striped cache, not the backend.
+  // Repeat queries hit the distance cache, not the backend.
   const std::size_t sp_before = ch_oracle.computation_count();
   NodeId a(0), b(static_cast<NodeId::underlying_type>(
                  perturbed.NumNodes() - 1));
